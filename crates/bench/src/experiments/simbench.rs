@@ -14,9 +14,14 @@
 //! * **warm** — the plan compiled once up front, per-iteration cost is
 //!   simulation only.
 //!
-//! Large 1024-rank stress scenarios take minutes and are gated behind
-//! `RESCC_BENCH_STRESS=1`; when the gate is off that is logged, not
-//! silently skipped.
+//! `Minv/s` is the engine's throughput on the warm path: simulated
+//! primitive invocations per second of warm wall time. The `hm-*` rows
+//! run the 64 MB hm AllReduce at 128 and 256 ranks, so a throughput
+//! that falls with scale shows here.
+//!
+//! The 512-rank row and the 1024-rank stress scenario take minutes and
+//! are gated behind `RESCC_BENCH_STRESS=1`; when the gate is off that is
+//! logged, not silently skipped.
 
 use super::observability::median_min_max;
 use crate::{print_table, MB};
@@ -83,8 +88,26 @@ fn scenarios(stress: bool) -> Vec<Scenario> {
             spec: hm_allreduce(4, 8),
             buffer: 32 * MB,
         },
+        Scenario {
+            name: "hm-16x8",
+            topo: Topology::a100(16, 8),
+            spec: hm_allreduce(16, 8),
+            buffer: 64 * MB,
+        },
+        Scenario {
+            name: "hm-32x8",
+            topo: Topology::a100(32, 8),
+            spec: hm_allreduce(32, 8),
+            buffer: 64 * MB,
+        },
     ];
     if stress {
+        out.push(Scenario {
+            name: "hm-64x8-stress",
+            topo: Topology::a100(64, 8),
+            spec: hm_allreduce(64, 8),
+            buffer: 64 * MB,
+        });
         out.push(Scenario {
             name: "table3-128x8-stress",
             topo: Topology::a100(128, 8),
@@ -133,6 +156,7 @@ pub fn run() {
 
         let (cold_med, cold_min, cold_max) = median_min_max(&mut cold_s);
         let (warm_med, warm_min, warm_max) = median_min_max(&mut warm_s);
+        let minv_per_s = reference.n_invocations as f64 / warm_med / 1e6;
         // The regression this file guards against: warm skips the whole
         // compile pipeline, so its median can never legitimately exceed
         // the cold median.
@@ -159,12 +183,13 @@ pub fn run() {
                 warm_max * 1e3
             ),
             format!("{:.2}x", cold_med / warm_med),
+            format!("{minv_per_s:.3}"),
         ]);
         json_rows.push(format!(
             "    {{\"name\": \"{}\", \"ranks\": {}, \"invocations\": {}, \
              \"cold_s\": {{\"median\": {cold_med:.6}, \"min\": {cold_min:.6}, \"max\": {cold_max:.6}}}, \
              \"warm_s\": {{\"median\": {warm_med:.6}, \"min\": {warm_min:.6}, \"max\": {warm_max:.6}}}, \
-             \"cold_over_warm\": {:.3}, \"identical\": true}}",
+             \"cold_over_warm\": {:.3}, \"minv_per_s\": {minv_per_s:.4}, \"identical\": true}}",
             sc.name,
             sc.topo.n_ranks(),
             reference.n_invocations,
@@ -181,6 +206,7 @@ pub fn run() {
             "cold",
             "warm",
             "cold/warm",
+            "Minv/s",
         ],
         &rows,
     );

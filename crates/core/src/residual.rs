@@ -178,10 +178,10 @@ impl Compiler {
         phase_counters::bump(&phase_counters::LOWERING);
         timings.lowering = t0.elapsed();
 
-        let t0 = Instant::now();
         let diagnostics = if self.lint_gate == LintGate::Off {
             AnalysisReport::default()
         } else {
+            let t0 = Instant::now();
             let completed: Vec<bool> = keep.iter().map(|&k| !k).collect();
             let report = analyze_residual(
                 &AnalysisInput {
@@ -206,9 +206,9 @@ impl Compiler {
                     report.render_human()
                 )));
             }
+            timings.sanitize = t0.elapsed();
             report
         };
-        timings.sanitize = t0.elapsed();
 
         if self.verify && cached.spec.n_ranks() <= 256 {
             verify_provenance(cached, &dag, &resume)?;

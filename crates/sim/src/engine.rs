@@ -29,6 +29,7 @@ use crate::metrics::{ResourceStat, SimReport, TbStat};
 use crate::obs::{
     add_interval, BubbleCause, BubbleInterval, LinkTimeline, SimObservability, TbTimeline,
 };
+use crate::queue::{key_cmp, TransferQueue};
 use crate::trace::{FaultRecord, TraceEvent};
 use crate::value::{expected_final, initial_value, ChunkValue};
 use rand::rngs::StdRng;
@@ -54,14 +55,21 @@ pub fn simulate(
 
 const NONE: u32 = u32::MAX;
 
+/// An event outside the transfer queue. Transfer events (latency done,
+/// drain done) live in [`TransferQueue`], one per transfer slot, and are
+/// told apart by [`Transfer::draining`].
 #[derive(Clone, Copy, Debug)]
 enum EvKind {
-    LatencyDone(u32),
-    DrainDone(u32, u64),
     /// A scheduled fault transition (index into the sorted schedule).
     Fault(u32),
     /// The watchdog deadline.
     Deadline,
+}
+
+/// The event the loop handles next.
+enum Next {
+    Transfer(u32),
+    Side(EvKind),
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -85,10 +93,7 @@ impl PartialOrd for Ev {
 impl Ord for Ev {
     fn cmp(&self, other: &Self) -> Ordering {
         // Min-heap: smaller time first; stable tie-break on sequence.
-        other
-            .t
-            .total_cmp(&self.t)
-            .then_with(|| other.seq.cmp(&self.seq))
+        key_cmp(other.t, other.seq, self.t, self.seq)
     }
 }
 
@@ -131,7 +136,8 @@ struct InvState {
     recv_arrival: f64,
     started: bool,
     done: bool,
-    /// Transfer index once started.
+    /// Transfer slot while in flight (`NONE` before start and after
+    /// completion — the slot is recycled then).
     transfer: u32,
 }
 
@@ -142,7 +148,8 @@ struct Transfer {
     remaining: f64,
     rate: f64,
     last_update: f64,
-    gen: u64,
+    /// Past the startup latency: the pending queue event is the drain's
+    /// end, not the latency's.
     draining: bool,
     send_tb: u32,
     recv_tb: u32,
@@ -191,6 +198,17 @@ struct ResState {
     up: bool,
     /// Fault state: brownout bandwidth multiplier (1.0 = nominal).
     factor: f64,
+    /// Per-drain rate share `effective_bandwidth(load) · factor / load`,
+    /// refreshed whenever `load` or `factor` changes; meaningful only
+    /// while `load > 0`.
+    share: f64,
+}
+
+impl ResState {
+    fn refresh_share(&mut self) {
+        // Brownout factor scales the momentary capacity.
+        self.share = self.params.effective_bandwidth(self.load) * self.factor / self.load as f64;
+    }
 }
 
 struct Engine<'a> {
@@ -205,9 +223,18 @@ struct Engine<'a> {
     seq: u64,
     tbs: Vec<TbState>,
     invs: Vec<InvState>,
+    /// Transfer slots; completed slots are recycled through `free`.
     transfers: Vec<Transfer>,
+    free: Vec<u32>,
+    /// Bytes of every transfer issued so far.
+    total_bytes: u64,
     resources: Vec<ResState>,
-    heap: BinaryHeap<Ev>,
+    /// One pending event per in-flight transfer.
+    queue: TransferQueue,
+    /// Fault transitions and the deadline.
+    side: BinaryHeap<Ev>,
+    /// Reusable buffer for the transfers a load change affects.
+    affected: Vec<u32>,
     /// Buffer values: `buffers[mb][rank * n_chunks + chunk]`.
     buffers: Vec<Vec<ChunkValue>>,
     rng: StdRng,
@@ -277,6 +304,7 @@ impl<'a> Engine<'a> {
                     draining: Vec::new(),
                     up: true,
                     factor: 1.0,
+                    share: 0.0,
                 })
             })
             .collect::<SimResult<_>>()?;
@@ -504,8 +532,12 @@ impl<'a> Engine<'a> {
             tbs,
             invs,
             transfers: Vec::new(),
+            free: Vec::new(),
+            total_bytes: 0,
             resources,
-            heap: BinaryHeap::new(),
+            queue: TransferQueue::default(),
+            side: BinaryHeap::new(),
+            affected: Vec::new(),
             buffers,
             rng: StdRng::seed_from_u64(config.seed),
             inv_done: inv_done_init,
@@ -546,7 +578,7 @@ impl<'a> Engine<'a> {
         // Fault schedule: stable-sort by timestamp. Transitions at or
         // before t = 0 — already in the past, e.g. after a retry shifted
         // the timeline with [`FaultTimeline::advanced`] — apply before
-        // launch; the rest enter the event heap. Fault events are pushed
+        // launch; the rest enter the side heap. Fault events are pushed
         // before any transfer event, so at equal timestamps they fire
         // first (stable `seq` tie-break) — replay is deterministic.
         let mut sched = self.config.faults.events().to_vec();
@@ -572,28 +604,39 @@ impl<'a> Engine<'a> {
             return Err(err);
         }
 
-        while let Some(ev) = self.heap.pop() {
+        // The next event is the earlier head, by `(t, seq)`, of the
+        // transfer queue and the side heap.
+        loop {
+            let transfer_next = match (self.queue.peek(), self.side.peek()) {
+                (Some(q), Some(s)) => key_cmp(q.t, q.seq, s.t, s.seq) == Ordering::Less,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            let (t, next) = if transfer_next {
+                let e = self.queue.pop().expect("peeked");
+                (e.t, Next::Transfer(e.slot))
+            } else {
+                let e = self.side.pop().expect("peeked");
+                (e.t, Next::Side(e.kind))
+            };
             // Monotonicity tolerance must scale with the clock: at f64 ns
             // magnitudes a second-long run sits near 1e9, where rounding
             // noise dwarfs any fixed absolute epsilon. Allow one part in
             // 1e12 of the current time (≈1ms worth of ULPs at 1e9 ns),
             // with a small absolute floor for clocks near zero.
             debug_assert!(
-                ev.t >= self.now - 1e-9f64.max(self.now.abs() * 1e-12),
+                t >= self.now - 1e-9f64.max(self.now.abs() * 1e-12),
                 "time went backwards: event at {} ns behind clock {} ns",
-                ev.t,
+                t,
                 self.now
             );
-            self.now = ev.t.max(self.now);
-            match ev.kind {
-                EvKind::LatencyDone(x) => self.on_latency_done(x),
-                EvKind::DrainDone(x, gen) => {
-                    if self.transfers[x as usize].gen == gen {
-                        self.on_drain_done(x);
-                    }
-                }
-                EvKind::Fault(i) => self.apply_fault(i),
-                EvKind::Deadline => {
+            self.now = t.max(self.now);
+            match next {
+                Next::Transfer(x) if self.transfers[x as usize].draining => self.on_drain_done(x),
+                Next::Transfer(x) => self.on_latency_done(x),
+                Next::Side(EvKind::Fault(i)) => self.apply_fault(i),
+                Next::Side(EvKind::Deadline) => {
                     if self.inv_done < self.inv_total {
                         self.fatal.get_or_insert(SimError::DeadlineExceeded {
                             deadline_ns: self.config.deadline_ns.unwrap_or(self.now).round() as u64,
@@ -648,12 +691,11 @@ impl<'a> Engine<'a> {
                 capacity: r.params.bandwidth(),
             })
             .collect();
-        let total_bytes = self.transfers.iter().map(|t| t.bytes).sum();
         let obs = self.obs.take().map(|acc| self.build_obs(*acc, completion));
 
         Ok(SimReport {
             completion_ns: completion,
-            total_bytes,
+            total_bytes: self.total_bytes,
             tb_stats,
             resource_stats,
             data_valid,
@@ -797,23 +839,20 @@ impl<'a> Engine<'a> {
                 }
             }
             Fault::LinkUp(r) => self.resources[r.index()].up = true,
-            Fault::Brownout(r, f) => {
-                self.resources[r.index()].factor = f;
-                self.reproject_resource(r);
-            }
-            Fault::BrownoutEnd(r) => {
-                self.resources[r.index()].factor = 1.0;
-                self.reproject_resource(r);
-            }
+            Fault::Brownout(r, f) => self.set_factor(r, f),
+            Fault::BrownoutEnd(r) => self.set_factor(r, 1.0),
             Fault::Straggler(rank, m) => self.straggle[rank as usize] = m,
         }
     }
 
-    /// Re-project every transfer draining on `r` after its capacity
-    /// changed (brownout start/end).
-    fn reproject_resource(&mut self, r: ResourceId) {
-        let draining = self.resources[r.index()].draining.clone();
-        for x in draining {
+    /// Change `r`'s brownout factor and re-project every transfer
+    /// draining on it.
+    fn set_factor(&mut self, r: ResourceId, factor: f64) {
+        let rs = &mut self.resources[r.index()];
+        rs.factor = factor;
+        rs.refresh_share();
+        for i in 0..self.resources[r.index()].draining.len() {
+            let x = self.resources[r.index()].draining[i];
             self.reproject(x);
         }
     }
@@ -1015,15 +1054,13 @@ impl<'a> Engine<'a> {
             latency *= 1.0 + self.config.jitter_frac * self.rng.gen::<f64>();
         }
 
-        let x = self.transfers.len() as u32;
-        self.transfers.push(Transfer {
+        let transfer = Transfer {
             task,
             mb,
             bytes,
             remaining: bytes as f64,
             rate: 0.0,
             last_update: now,
-            gen: 0,
             draining: false,
             send_tb: inv.send_tb,
             recv_tb: inv.recv_tb,
@@ -1031,13 +1068,26 @@ impl<'a> Engine<'a> {
             drain_start: now,
             captured,
             pending_complete: false,
-        });
+        };
+        let x = match self.free.pop() {
+            Some(x) => {
+                debug_assert!(!self.queue.contains(x), "recycled slot still queued");
+                self.transfers[x as usize] = transfer;
+                x
+            }
+            None => {
+                self.transfers.push(transfer);
+                self.transfers.len() as u32 - 1
+            }
+        };
+        self.total_bytes += bytes;
         self.invs[idx].transfer = x;
-        self.push_event(now + latency, EvKind::LatencyDone(x));
+        let seq = self.next_seq();
+        self.queue.set(x, now + latency, seq);
 
         // Wake fused followers gated on this start.
-        let followers = self.fused_next[task.index()].clone();
-        for b in followers {
+        for i in 0..self.fused_next[task.index()].len() {
+            let b = self.fused_next[task.index()][i];
             self.try_start(b, mb);
         }
     }
@@ -1059,13 +1109,14 @@ impl<'a> Engine<'a> {
         self.transfers[x as usize].draining = true;
         self.transfers[x as usize].last_update = now;
         self.transfers[x as usize].drain_start = now;
-        let mut affected: Vec<u32> = Vec::new();
+        let mut affected = std::mem::take(&mut self.affected);
         for r in path.iter() {
             let rs = &mut self.resources[r.index()];
             if rs.load == 0 {
                 rs.active_since = now;
             }
             rs.load += 1;
+            rs.refresh_share();
             for &other in &rs.draining {
                 if !affected.contains(&other) {
                     affected.push(other);
@@ -1074,9 +1125,17 @@ impl<'a> Engine<'a> {
             rs.draining.push(x);
         }
         self.reproject(x);
-        for other in affected {
+        self.reproject_all(affected);
+    }
+
+    /// Re-project every transfer in `affected`, then keep the emptied
+    /// buffer for the next load change.
+    fn reproject_all(&mut self, mut affected: Vec<u32>) {
+        for &other in &affected {
             self.reproject(other);
         }
+        affected.clear();
+        self.affected = affected;
     }
 
     /// Settle a draining transfer's progress and re-project its finish.
@@ -1087,21 +1146,15 @@ impl<'a> Engine<'a> {
         t.remaining -= t.rate * (now - t.last_update);
         t.remaining = t.remaining.max(0.0);
         t.last_update = now;
-        let path = self.dag.task(t.task).path;
         let mut rate = f64::INFINITY;
-        for r in path.iter() {
-            let rs = &self.resources[r.index()];
-            // Brownout factor scales the momentary capacity.
-            let share = rs.params.effective_bandwidth(rs.load) * rs.factor / rs.load as f64;
-            rate = rate.min(share);
+        for r in self.dag.task(t.task).path.iter() {
+            rate = rate.min(self.resources[r.index()].share);
         }
         debug_assert!(rate.is_finite() && rate > 0.0);
-        let t = &mut self.transfers[x as usize];
         t.rate = rate;
-        t.gen += 1;
-        let gen = t.gen;
         let finish = now + t.remaining / rate;
-        self.push_event(finish, EvKind::DrainDone(x, gen));
+        let seq = self.next_seq();
+        self.queue.set(x, finish, seq);
     }
 
     fn on_drain_done(&mut self, x: u32) {
@@ -1113,7 +1166,7 @@ impl<'a> Engine<'a> {
 
         // Free resources and settle peers.
         let path = self.dag.task(task).path;
-        let mut affected: Vec<u32> = Vec::new();
+        let mut affected = std::mem::take(&mut self.affected);
         let observing = self.obs.is_some();
         // Busy intervals closed on this event ((resource, open time));
         // stays unallocated unless attribution is on.
@@ -1121,6 +1174,7 @@ impl<'a> Engine<'a> {
         for r in path.iter() {
             let rs = &mut self.resources[r.index()];
             rs.load -= 1;
+            rs.refresh_share();
             rs.bytes += bytes;
             if rs.load == 0 {
                 rs.active_ns += now - rs.active_since;
@@ -1156,9 +1210,7 @@ impl<'a> Engine<'a> {
                 obs.res_intervals[ri].push((since, now));
             }
         }
-        for other in affected {
-            self.reproject(other);
-        }
+        self.reproject_all(affected);
 
         // Cut-through causality: a fused forward cannot complete before the
         // receive that feeds it.
@@ -1236,13 +1288,15 @@ impl<'a> Engine<'a> {
         self.tbs[send_tb as usize].n_inv += 1;
         self.tbs[recv_tb as usize].n_inv += 1;
 
-        // Mark done, propagate dependencies.
+        // Mark done, recycle the transfer slot, propagate dependencies.
         let idx = task.index() * self.n_mb as usize + mb as usize;
         self.invs[idx].done = true;
+        self.invs[idx].transfer = NONE;
+        self.free.push(x);
         self.inv_done += 1;
         self.completion = self.completion.max(now);
-        let succs: Vec<TaskId> = self.dag.succs(task).to_vec();
-        for s in succs {
+        let dag = self.dag;
+        for &s in dag.succs(task) {
             // The fused forward's dependency on this feeder was lifted at
             // initialization; everything else decrements normally.
             if self.fused_pred[s.index()] == task.0 {
@@ -1260,16 +1314,16 @@ impl<'a> Engine<'a> {
             self.barrier_remaining[g][mb as usize] -= 1;
             let stride = self.program.barrier_stride.max(1);
             if self.barrier_remaining[g][mb as usize] == 0 && mb + stride < self.n_mb {
-                let members = self.barrier_members[g].clone();
-                for m in members {
+                for i in 0..self.barrier_members[g].len() {
+                    let m = self.barrier_members[g][i];
                     self.try_start(m, mb + stride);
                 }
             }
         }
 
         // Release fused forwards that drained before this feeder finished.
-        let followers = self.fused_next[task.index()].clone();
-        for b in followers {
+        for i in 0..self.fused_next[task.index()].len() {
+            let b = self.fused_next[task.index()][i];
             let bidx = b.index() * self.n_mb as usize + mb as usize;
             let bx = self.invs[bidx].transfer;
             if bx != NONE && self.transfers[bx as usize].pending_complete {
@@ -1360,13 +1414,17 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn push_event(&mut self, t: f64, kind: EvKind) {
+    /// The next event sequence number. Every transfer event scheduled or
+    /// moved and every side event pushed takes one, so equal-time events
+    /// fire in the order they were (re)scheduled.
+    fn next_seq(&mut self) -> u64 {
         self.seq += 1;
-        self.heap.push(Ev {
-            t,
-            seq: self.seq,
-            kind,
-        });
+        self.seq
+    }
+
+    fn push_event(&mut self, t: f64, kind: EvKind) {
+        let seq = self.next_seq();
+        self.side.push(Ev { t, seq, kind });
     }
 
     fn check_data(&self) -> SimResult<bool> {
@@ -1396,7 +1454,7 @@ impl<'a> Engine<'a> {
         let mut detail = String::new();
         for (i, inv) in self.invs.iter().enumerate() {
             if !inv.done && inv.started {
-                continue; // in flight — impossible here (heap empty)
+                continue; // in flight — impossible here (queue empty)
             }
             if !inv.done {
                 let task = TaskId::new((i / self.n_mb as usize) as u32);

@@ -48,6 +48,7 @@ mod fault;
 mod frontier;
 mod metrics;
 mod obs;
+mod queue;
 mod trace;
 mod value;
 
