@@ -2,10 +2,11 @@
 //!
 //! Not a paper figure: this experiment measures the cost of the
 //! simulator's observability layer and machine-checks its accounting on
-//! two Table-3 scenarios. For each scenario the compiled plan is run
-//! `N = 7` times with attribution off and on; wall times are reported as
-//! median with min/max spread (single-iteration timings invert under
-//! scheduler noise — the same bug the `simbench` experiment fixes).
+//! two Table-3 scenarios and a 128-rank hm AllReduce. For each scenario
+//! the compiled plan is run `N = 7` times with attribution off and on;
+//! wall times are reported as median with min/max spread
+//! (single-iteration timings invert under scheduler noise — the same bug
+//! the `simbench` experiment fixes).
 //!
 //! Checked invariants, per scenario:
 //!
@@ -48,6 +49,14 @@ fn scenarios() -> Vec<Scenario> {
             topo: Topology::a100(2, 8),
             spec: hm_allgather(2, 8),
             buffer: 128 * MB,
+        },
+        // Attribution records per completion and per busy interval, so
+        // its overhead is measured at scale too, not only at 8 and 16.
+        Scenario {
+            name: "hm-16x8-ar",
+            topo: Topology::a100(16, 8),
+            spec: hm_allreduce(16, 8),
+            buffer: 64 * MB,
         },
     ]
 }

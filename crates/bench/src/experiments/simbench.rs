@@ -16,8 +16,9 @@
 //!
 //! `Minv/s` is the engine's throughput on the warm path: simulated
 //! primitive invocations per second of warm wall time. The `hm-*` rows
-//! run the 64 MB hm AllReduce at 128 and 256 ranks, so a throughput
-//! that falls with scale shows here.
+//! run one shape, the 64 MB hm AllReduce, at 32, 128 and 256 ranks (512
+//! under the stress gate), so a throughput that falls with scale shows
+//! here; the 256-rank over 32-rank `Minv/s` ratio is printed.
 //!
 //! The 512-rank row and the 1024-rank stress scenario take minutes and
 //! are gated behind `RESCC_BENCH_STRESS=1`; when the gate is off that is
@@ -89,6 +90,12 @@ fn scenarios(stress: bool) -> Vec<Scenario> {
             buffer: 32 * MB,
         },
         Scenario {
+            name: "hm-4x8",
+            topo: Topology::a100(4, 8),
+            spec: hm_allreduce(4, 8),
+            buffer: 64 * MB,
+        },
+        Scenario {
             name: "hm-16x8",
             topo: Topology::a100(16, 8),
             spec: hm_allreduce(16, 8),
@@ -128,6 +135,8 @@ pub fn run() {
     let cfg = SimConfig::default().without_validation();
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
+    // Warm `Minv/s` of the 32- and 256-rank hm rows.
+    let (mut minv_32, mut minv_256) = (f64::NAN, f64::NAN);
 
     for sc in scenarios(stress) {
         let warm_plan = compiler
@@ -157,6 +166,11 @@ pub fn run() {
         let (cold_med, cold_min, cold_max) = median_min_max(&mut cold_s);
         let (warm_med, warm_min, warm_max) = median_min_max(&mut warm_s);
         let minv_per_s = reference.n_invocations as f64 / warm_med / 1e6;
+        match sc.name {
+            "hm-4x8" => minv_32 = minv_per_s,
+            "hm-32x8" => minv_256 = minv_per_s,
+            _ => {}
+        }
         // The regression this file guards against: warm skips the whole
         // compile pipeline, so its median can never legitimately exceed
         // the cold median.
@@ -211,9 +225,11 @@ pub fn run() {
         &rows,
     );
     println!("medians over {ITERS} iterations; warm ≤ cold is asserted, not assumed.");
+    let scale_ratio = minv_256 / minv_32;
+    println!("hm 64 MB AllReduce, Minv/s at 256 ranks / 32 ranks: {scale_ratio:.3}");
 
     let json = format!(
-        "{{\n  \"iters\": {ITERS},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"iters\": {ITERS},\n  \"minv_256_over_32\": {scale_ratio:.4},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n"),
     );
     match std::fs::write("BENCH_sim.json", &json) {

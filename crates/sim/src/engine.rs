@@ -37,7 +37,7 @@ use rand::{Rng, SeedableRng};
 use rescc_ir::{DepDag, MicroBatchPlan, TaskId};
 use rescc_kernel::{KernelProgram, LoopOrder};
 use rescc_lang::{CommType, OpType};
-use rescc_topology::{LinkParams, ResourceId, Topology};
+use rescc_topology::{LinkParams, ResourceId, ResourceSet, Topology};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -143,6 +143,9 @@ struct InvState {
 
 struct Transfer {
     task: TaskId,
+    /// The task's path, copied at issue: the per-event handlers read it
+    /// here instead of from the DAG's task array.
+    path: ResourceSet,
     mb: u32,
     bytes: u64,
     remaining: f64,
@@ -202,6 +205,9 @@ struct ResState {
     /// refreshed whenever `load` or `factor` changes; meaningful only
     /// while `load > 0`.
     share: f64,
+    /// The lone-drain rate `effective_bandwidth(1)`, after degradation —
+    /// the line rate bubble attribution measures contention against.
+    solo: f64,
 }
 
 impl ResState {
@@ -305,6 +311,7 @@ impl<'a> Engine<'a> {
                     up: true,
                     factor: 1.0,
                     share: 0.0,
+                    solo: 0.0,
                 })
             })
             .collect::<SimResult<_>>()?;
@@ -313,6 +320,9 @@ impl<'a> Engine<'a> {
             // Degrade capacity: stretch β and shrink the per-TB rate.
             p.beta_ns_per_byte /= factor;
             p.tb_bw_bytes_per_ns *= factor;
+        }
+        for rs in &mut resources {
+            rs.solo = rs.params.effective_bandwidth(1);
         }
 
         // TB states.
@@ -605,20 +615,23 @@ impl<'a> Engine<'a> {
         }
 
         // The next event is the earlier head, by `(t, seq)`, of the
-        // transfer queue and the side heap.
+        // transfer queue and the side heap. Only `pop` raises the queue's
+        // floor: a side event that fires first may re-key transfers to
+        // finish before the queue's current head.
         loop {
-            let transfer_next = match (self.queue.peek(), self.side.peek()) {
-                (Some(q), Some(s)) => key_cmp(q.t, q.seq, s.t, s.seq) == Ordering::Less,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let (t, next) = if transfer_next {
-                let e = self.queue.pop().expect("peeked");
-                (e.t, Next::Transfer(e.slot))
-            } else {
+            let side_next = self.side.peek().is_some_and(|s| {
+                self.queue
+                    .peek()
+                    .is_none_or(|q| key_cmp(s.t, s.seq, q.t, q.seq) == Ordering::Less)
+            });
+            let (t, next) = if side_next {
                 let e = self.side.pop().expect("peeked");
                 (e.t, Next::Side(e.kind))
+            } else {
+                match self.queue.pop() {
+                    Some(e) => (e.t, Next::Transfer(e.slot)),
+                    None => break,
+                }
             };
             // Monotonicity tolerance must scale with the clock: at f64 ns
             // magnitudes a second-long run sits near 1e9, where rounding
@@ -857,13 +870,9 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The first dead resource on a task's path, if any.
-    fn dead_on_path(&self, task: TaskId) -> Option<ResourceId> {
-        self.dag
-            .task(task)
-            .path
-            .iter()
-            .find(|r| !self.resources[r.index()].up)
+    /// The first dead resource on `path`, if any.
+    fn dead_on_path(&self, path: ResourceSet) -> Option<ResourceId> {
+        path.iter().find(|r| !self.resources[r.index()].up)
     }
 
     /// Record a typed [`SimError::ResourceDown`] for `task` hitting dead
@@ -1005,7 +1014,8 @@ impl<'a> Engine<'a> {
         }
         // A transfer cannot cross a dead resource: surface the typed
         // failure so the Communicator's watchdog can retry or recompile.
-        if let Some(r) = self.dead_on_path(task) {
+        let t = self.dag.task(task);
+        if let Some(r) = self.dead_on_path(t.path) {
             self.fail_on_dead(task, r);
             return;
         }
@@ -1027,7 +1037,6 @@ impl<'a> Engine<'a> {
             self.record_wait(inv.recv_tb, inv.recv_arrival, inv.send_arrival, task, mb);
         }
 
-        let t = self.dag.task(task);
         let bytes = self.plan.invocation_bytes(mb);
         // Fused forwards capture at completion instead (their payload is
         // the feeder's freshly-delivered value, applied by then).
@@ -1056,6 +1065,7 @@ impl<'a> Engine<'a> {
 
         let transfer = Transfer {
             task,
+            path: t.path,
             mb,
             bytes,
             remaining: bytes as f64,
@@ -1098,14 +1108,13 @@ impl<'a> Engine<'a> {
 
     fn on_latency_done(&mut self, x: u32) {
         let now = self.now;
-        let task = self.transfers[x as usize].task;
+        let Transfer { task, path, .. } = self.transfers[x as usize];
         // The resource may have died during the startup latency: fail the
         // transfer before it registers on the path.
-        if let Some(r) = self.dead_on_path(task) {
+        if let Some(r) = self.dead_on_path(path) {
             self.fail_on_dead(task, r);
             return;
         }
-        let path = self.dag.task(task).path;
         self.transfers[x as usize].draining = true;
         self.transfers[x as usize].last_update = now;
         self.transfers[x as usize].drain_start = now;
@@ -1147,7 +1156,7 @@ impl<'a> Engine<'a> {
         t.remaining = t.remaining.max(0.0);
         t.last_update = now;
         let mut rate = f64::INFINITY;
-        for r in self.dag.task(t.task).path.iter() {
+        for r in t.path.iter() {
             rate = rate.min(self.resources[r.index()].share);
         }
         debug_assert!(rate.is_finite() && rate > 0.0);
@@ -1159,13 +1168,15 @@ impl<'a> Engine<'a> {
 
     fn on_drain_done(&mut self, x: u32) {
         let now = self.now;
-        let (task, mb, bytes) = {
-            let t = &self.transfers[x as usize];
-            (t.task, t.mb, t.bytes)
-        };
+        let Transfer {
+            task,
+            path,
+            mb,
+            bytes,
+            ..
+        } = self.transfers[x as usize];
 
         // Free resources and settle peers.
-        let path = self.dag.task(task).path;
         let mut affected = std::mem::take(&mut self.affected);
         let observing = self.obs.is_some();
         // Busy intervals closed on this event ((resource, open time));
@@ -1376,13 +1387,12 @@ impl<'a> Engine<'a> {
         recv_tb: u32,
     ) {
         let now = self.now;
-        let drain_start = self.transfers[x as usize].drain_start;
-        let rate0 = self
-            .dag
-            .task(task)
-            .path
+        let Transfer {
+            path, drain_start, ..
+        } = self.transfers[x as usize];
+        let rate0 = path
             .iter()
-            .map(|r| self.resources[r.index()].params.effective_bandwidth(1))
+            .map(|r| self.resources[r.index()].solo)
             .fold(f64::INFINITY, f64::min);
         debug_assert!(rate0.is_finite() && rate0 > 0.0);
         let line_end = (drain_start + bytes as f64 / rate0).min(now);

@@ -316,3 +316,62 @@ fn hm_allreduce_32_ranks() {
         (0x412906948b5fc88d, 1984, 2080374784, 0x84d40716bc65c402),
     );
 }
+
+/// A 64 MB hm AllReduce under `FaultTimeline::seeded_chaos` on the bare
+/// engine (no watchdog), with the fault horizon set to the healthy
+/// completion. Chaos may end the run with a typed fault; then the
+/// digest of the error, frontier included, is pinned instead.
+fn chaos_outcome(topo: &Topology, seed: u64) -> Result<Pin, u64> {
+    let plan = Compiler::new()
+        .compile_spec(&hm_allreduce(topo.n_nodes(), topo.gpus_per_node()), topo)
+        .unwrap();
+    let base = SimConfig::default().without_validation().with_trace();
+    let horizon = plan.run_with(64 * MB, MB, &base).unwrap().completion_ns;
+    let faults = FaultTimeline::seeded_chaos(seed, topo.n_resources(), topo.n_ranks(), horizon);
+    match plan.run_with(64 * MB, MB, &base.with_faults(faults)) {
+        Ok(rep) => Ok(pin_of(&rep)),
+        Err(e) => Err(fnv(format!("{e:?}").as_bytes(), 0xcbf2_9ce4_8422_2325)),
+    }
+}
+
+/// Seeded chaos timelines. On seeds 817 and 949 a fault transition that
+/// fires before the transfer queue's head re-projects drains to finish
+/// earlier than that head: a queue that raised its ordering floor on
+/// `peek` rather than on `pop` reorders events on these two. Seeds 39
+/// and 38 are ordinary timelines the run survives.
+#[test]
+fn seeded_chaos_timelines() {
+    let cases: [(u32, u32, u64, Result<Pin, u64>); 4] = [
+        (2, 4, 817, Err(0x4c6e33d7b90b0a71)),
+        (
+            2,
+            8,
+            949,
+            Ok((0x4132871bb4814a0b, 1920, 2013265920, 0x42b51770d28b1ab0)),
+        ),
+        (
+            2,
+            4,
+            39,
+            Ok((0x4140fd2fa3485905, 896, 939524096, 0x234501976f0ba652)),
+        ),
+        (
+            2,
+            8,
+            38,
+            Ok((0x41321422b78eb26f, 1920, 2013265920, 0xf51605bd466058de)),
+        ),
+    ];
+    for (nodes, gpus, seed, expect) in cases {
+        let topo = Topology::a100(nodes, gpus);
+        let got = chaos_outcome(&topo, seed);
+        let new_pin = match got {
+            Ok(p) => format!("Ok((0x{:016x}, {}, {}, 0x{:016x}))", p.0, p.1, p.2, p.3),
+            Err(d) => format!("Err(0x{d:016x})"),
+        };
+        assert_eq!(
+            got, expect,
+            "chaos a100({nodes}, {gpus}) seed {seed}: engine output drifted; new pin: {new_pin}"
+        );
+    }
+}
