@@ -73,7 +73,7 @@ impl FaultPolicy {
 /// Dispatch goes through a [`PlanCache`]: the first call of each distinct
 /// (operator, algorithm, micro-batch shape) configuration compiles, every
 /// repeat is a fingerprint lookup — none of the compile phases run again
-/// (observable via [`rescc_core::phase_counters`]). Each [`RunReport`]
+/// (observable as an unchanged [`CacheStats::misses`]). Each [`RunReport`]
 /// carries the cache counters at the time of the call.
 ///
 /// The cache is held through an `Arc`: by default each communicator owns a

@@ -1,46 +1,39 @@
 //! Plan-cache behaviour of the [`Communicator`] dispatcher: warm calls
-//! must not run any compile phase, and must return the same simulation
-//! result the cold call produced.
+//! must not compile, and must return the same simulation result the cold
+//! call produced.
 //!
-//! The phase counters are process-wide, so every test in this binary that
-//! compiles anything serializes on one lock — otherwise a concurrent
-//! test's compile would land between two snapshots.
+//! "Did not compile" is read from the cache's own `misses` counter, which
+//! counts exactly the compile-closure runs of that cache (pinned by the
+//! core plan-service suite), so the tests need no process-wide state and
+//! run concurrently.
 
 use rescc_backends::Communicator;
-use rescc_core::{phase_counters, PlanCache};
+use rescc_core::PlanCache;
 use rescc_topology::Topology;
-use std::sync::{Arc, Barrier, Mutex};
-
-static COUNTERS: Mutex<()> = Mutex::new(());
+use std::sync::{Arc, Barrier};
 
 const MB: u64 = 1 << 20;
 
 #[test]
 fn warm_dispatch_skips_all_compile_phases() {
-    let _guard = COUNTERS.lock().unwrap();
     let mut comm = Communicator::new(Topology::a100(2, 4));
 
     let cold = comm.all_reduce(64 * MB).unwrap();
     let cold_stats = cold.cache.expect("communicator reports cache stats");
     assert_eq!((cold_stats.hits, cold_stats.misses), (0, 1));
 
-    let before = phase_counters::snapshot();
     let warm = comm.all_reduce(64 * MB).unwrap();
-    let after = phase_counters::snapshot();
-    assert_eq!(
-        after.since(&before),
-        phase_counters::PhaseCounts::default(),
-        "a warm dispatch must not run any compile phase"
-    );
-
     let warm_stats = warm.cache.unwrap();
-    assert_eq!((warm_stats.hits, warm_stats.misses), (1, 1));
+    assert_eq!(
+        (warm_stats.hits, warm_stats.misses),
+        (1, 1),
+        "a warm dispatch must not compile"
+    );
     assert_eq!(cold.sim, warm.sim, "cached run must match the cold run");
 }
 
 #[test]
 fn distinct_configurations_miss_repeats_hit() {
-    let _guard = COUNTERS.lock().unwrap();
     let mut comm = Communicator::new(Topology::a100(2, 4));
     comm.all_reduce(256 * MB).unwrap();
     comm.all_gather(256 * MB).unwrap();
@@ -54,23 +47,19 @@ fn distinct_configurations_miss_repeats_hit() {
 /// every other tenant of the shared cache, with no further compile.
 #[test]
 fn shared_cache_serves_across_communicators() {
-    let _guard = COUNTERS.lock().unwrap();
     let service = Arc::new(PlanCache::new());
     let mut a = Communicator::new(Topology::a100(2, 4)).with_shared_cache(Arc::clone(&service));
     let mut b = Communicator::new(Topology::a100(2, 4)).with_shared_cache(Arc::clone(&service));
     let cold = a.all_reduce(64 * MB).unwrap();
 
-    let before = phase_counters::snapshot();
     let warm = b.all_reduce(64 * MB).unwrap();
-    let after = phase_counters::snapshot();
-    assert_eq!(
-        after.since(&before),
-        phase_counters::PhaseCounts::default(),
-        "tenant B must be served by tenant A's compile"
-    );
     assert_eq!(cold.sim, warm.sim);
     let stats = service.stats();
-    assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    assert_eq!(
+        (stats.hits, stats.misses, stats.entries),
+        (1, 1, 1),
+        "tenant B must be served by tenant A's compile"
+    );
     assert_eq!(a.cache_stats(), b.cache_stats());
 }
 
@@ -80,7 +69,6 @@ fn shared_cache_serves_across_communicators() {
 /// itself, so an unjournaled cache still observes correctly.
 #[test]
 fn zero_capacity_journal_with_observability_does_not_panic() {
-    let _guard = COUNTERS.lock().unwrap();
     let service = Arc::new(PlanCache::with_journal_capacity(0));
     let mut comm = Communicator::new(Topology::a100(2, 4))
         .with_shared_cache(Arc::clone(&service))
@@ -101,10 +89,8 @@ fn zero_capacity_journal_with_observability_does_not_panic() {
 /// exactly one miss (the single compile) and one hit/coalesced serve.
 #[test]
 fn concurrent_tenants_attribute_their_own_dispatch() {
-    let _guard = COUNTERS.lock().unwrap();
     let service = Arc::new(PlanCache::new());
     let start = Barrier::new(2);
-    let before = phase_counters::snapshot();
     let reports: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..2)
             .map(|_| {
@@ -121,12 +107,6 @@ fn concurrent_tenants_attribute_their_own_dispatch() {
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    let ran = phase_counters::snapshot().since(&before);
-    assert_eq!(
-        (ran.scheduling, ran.lowering),
-        (1, 1),
-        "racing tenants must share one compile: {ran:?}"
-    );
     let obs: Vec<_> = reports.into_iter().map(|r| r.obs.unwrap()).collect();
     for o in &obs {
         assert_eq!(
@@ -138,12 +118,15 @@ fn concurrent_tenants_attribute_their_own_dispatch() {
     let misses: u64 = obs.iter().map(|o| o.cache_misses).sum();
     let hits: u64 = obs.iter().map(|o| o.cache_hits).sum();
     assert_eq!((misses, hits), (1, 1));
-    assert_eq!(service.stats().misses, 1);
+    assert_eq!(
+        service.stats().misses,
+        1,
+        "racing tenants must share one compile"
+    );
 }
 
 #[test]
 fn parallel_compilation_serves_identical_plans() {
-    let _guard = COUNTERS.lock().unwrap();
     let mut serial = Communicator::new(Topology::a100(2, 4));
     let mut parallel = Communicator::new(Topology::a100(2, 4)).with_compile_threads(4);
     let a = serial.reduce_scatter(128 * MB).unwrap();

@@ -12,11 +12,14 @@
 //! * **mixed** — hot/cold request streams against a byte-budgeted shared
 //!   cache: most dispatches hit, a steady trickle of never-seen
 //!   fingerprints compiles, and eviction pressure runs throughout.
-//! * **singleflight** — K threads race one cold fingerprint per round;
-//!   the process-wide `phase_counters` prove exactly one compile ran per
-//!   round (hard-asserted — this is the dedup guarantee, independent of
-//!   scheduling), and the same race against the reference cache reports
-//!   how many duplicate compiles the old design admits.
+//! * **singleflight** — K threads race one cold fingerprint per round.
+//!   The leader's compile is held on a gate until the other K−1 racers
+//!   have arrived, so every follower finds the compile in flight; a
+//!   counter inside the compile closure proves exactly one compile ran
+//!   and the cache's `coalesced` counter that all K−1 followers waited
+//!   on it (both hard-asserted). The same ungated race against the
+//!   reference cache reports how many duplicate compiles the old design
+//!   admits.
 //!
 //! Both dispatch paths go through `get_or_compile_keyed` with
 //! precomputed fingerprints: hashing the spec costs ~µs, is perfectly
@@ -31,14 +34,14 @@
 
 use crate::{print_table, MB};
 use rescc_algos::hm_allreduce;
-use rescc_core::{phase_counters, plan_fingerprint, Compiler, PlanCache, SingleMutexPlanCache};
+use rescc_core::{plan_fingerprint, Compiler, PlanCache, SingleMutexPlanCache};
 use rescc_ir::MicroBatchPlan;
 use rescc_lang::AlgoSpec;
 use rescc_topology::Topology;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::{mpsc, Barrier};
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Client thread counts swept by the full experiment.
 const THREAD_GRID: [usize; 4] = [1, 2, 4, 8];
@@ -190,30 +193,50 @@ fn prewarm(cache: &PlanCache, compiler: &Compiler, hot: &[Req]) {
     }
 }
 
-/// The singleflight race: `RACERS` threads dispatch one cold fingerprint
-/// simultaneously. Returns (compiles observed via phase counters,
-/// coalesced serves). The sharded cache must observe exactly 1 compile;
-/// callers assert.
+/// The singleflight race: `RACERS` threads dispatch one cold fingerprint.
+/// The first racer's compile blocks on a gate until the other racers have
+/// been started and given time to reach the in-flight table, so they
+/// coalesce onto it instead of arriving after it publishes. Returns
+/// (compile-closure runs, coalesced serves); callers assert exactly 1
+/// compile and `RACERS − 1` coalesced.
 fn race_once(cache: &PlanCache, compiler: &Compiler, salt: u64) -> (u64, u64) {
     let req = cold_req(compiler, salt);
-    let before_stats = cache.stats();
-    let before = phase_counters::snapshot();
-    let start = Barrier::new(RACERS);
+    let coalesced_before = cache.stats().coalesced;
+    let compiles = AtomicU64::new(0);
+    let gate = Barrier::new(2);
+    let (arrived_tx, arrived_rx) = mpsc::channel::<()>();
+    let dispatch = || {
+        cache
+            .get_or_compile_keyed(req.key, || {
+                if compiles.fetch_add(1, Ordering::SeqCst) == 0 {
+                    gate.wait();
+                }
+                compiler.compile_spec(&req.spec, &req.topo)
+            })
+            .expect("race dispatch");
+    };
     thread::scope(|s| {
-        for _ in 0..RACERS {
-            let (cache, compiler, req, start) = (cache, compiler, &req, &start);
+        let dispatch = &dispatch;
+        s.spawn(dispatch);
+        while compiles.load(Ordering::SeqCst) == 0 {
+            thread::yield_now();
+        }
+        for _ in 1..RACERS {
+            let tx = arrived_tx.clone();
             s.spawn(move || {
-                start.wait();
-                cache
-                    .get_or_compile_keyed(req.key, || compiler.compile_spec(&req.spec, &req.topo))
-                    .expect("race dispatch");
+                tx.send(()).unwrap();
+                dispatch();
             });
         }
+        for _ in 1..RACERS {
+            arrived_rx.recv().unwrap();
+        }
+        thread::sleep(Duration::from_millis(100));
+        gate.wait();
     });
-    let ran = phase_counters::snapshot().since(&before);
     (
-        ran.scheduling,
-        cache.stats().coalesced - before_stats.coalesced,
+        compiles.load(Ordering::SeqCst),
+        cache.stats().coalesced - coalesced_before,
     )
 }
 
@@ -357,8 +380,9 @@ pub fn run() {
     for round in 0..RACE_ROUNDS {
         let (compiles, coalesced) = race_once(&race_cache, &compiler, 500_000 + round as u64);
         assert_eq!(
-            compiles, 1,
-            "singleflight must admit exactly one compile per round"
+            (compiles, coalesced),
+            (1, RACERS as u64 - 1),
+            "singleflight must admit exactly one compile per round and coalesce every follower"
         );
         compiles_total += compiles;
         coalesced_total += coalesced;
@@ -479,8 +503,9 @@ pub fn smoke() {
 
     let (compiles, coalesced) = race_once(&cache, &compiler, 700_000);
     assert_eq!(
-        compiles, 1,
-        "singleflight must admit exactly one compile for {RACERS} racers"
+        (compiles, coalesced),
+        (1, RACERS as u64 - 1),
+        "singleflight must admit exactly one compile for {RACERS} racers and coalesce the rest"
     );
     println!(
         "service-smoke: singleflight gate PASS ({RACERS} racers -> 1 compile, \

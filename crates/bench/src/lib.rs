@@ -3,8 +3,7 @@
 //! The benchmark harness that regenerates every table and figure of the
 //! paper's evaluation (§5). Each `src/bin/<id>.rs` binary reproduces one
 //! artifact and prints the same rows/series the paper reports;
-//! `reproduce-all` runs the full set. The `benches/` directory holds
-//! Criterion micro-benchmarks of the compiler and simulator themselves.
+//! `reproduce-all` runs the full set.
 //!
 //! Shared here: the buffer-size grids, table formatting, and the sweep
 //! drivers (parallelized across topologies with scoped threads).

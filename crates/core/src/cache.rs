@@ -673,16 +673,6 @@ impl PlanCache {
         self.shards.iter().map(|s| s.state().dropped).sum()
     }
 
-    /// Dispatches served from the cache so far.
-    pub fn hits(&self) -> u64 {
-        self.shards.iter().map(|s| s.state().hits).sum()
-    }
-
-    /// Dispatches that compiled so far.
-    pub fn misses(&self) -> u64 {
-        self.shards.iter().map(|s| s.state().misses).sum()
-    }
-
     /// Counter snapshot — coherent per shard, summed across shards (see
     /// [`CacheStats`] for the exact guarantee).
     pub fn stats(&self) -> CacheStats {

@@ -46,80 +46,11 @@ use rescc_alloc::TbAllocation;
 use rescc_analyze::{analyze, analyze_rerouted, AnalysisConfig, AnalysisInput, AnalysisReport};
 use rescc_ir::{DepDag, MicroBatchPlan};
 use rescc_kernel::{emit_all, ExecMode, KernelProgram, LoopOrder};
-use rescc_lang::{eval, parse, verify_collective_with_threads, AlgoSpec, OpType};
+use rescc_lang::{eval, parse, verify_collective_with_threads, AlgoSpec};
 use rescc_sched::{hpds_with_threads, round_robin_with_threads, Schedule};
 use rescc_sim::{simulate, SimConfig, SimError, SimReport, SimResult};
 use rescc_topology::{Topology, TopologyHealth};
 use std::time::{Duration, Instant};
-
-/// Process-wide counters of compile-phase executions.
-///
-/// Every [`Compiler`] increments these as it runs its phases; they exist so
-/// callers (and tests) can prove a cached dispatch skipped compilation
-/// entirely rather than merely being fast. Counters only ever increase;
-/// compare [`snapshot`](phase_counters::snapshot)s taken around the section
-/// under scrutiny.
-pub mod phase_counters {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    pub(crate) static PARSING: AtomicU64 = AtomicU64::new(0);
-    pub(crate) static ANALYSIS: AtomicU64 = AtomicU64::new(0);
-    pub(crate) static SCHEDULING: AtomicU64 = AtomicU64::new(0);
-    pub(crate) static LOWERING: AtomicU64 = AtomicU64::new(0);
-    pub(crate) static SANITIZE: AtomicU64 = AtomicU64::new(0);
-
-    /// How many times each compile phase has run in this process.
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-    pub struct PhaseCounts {
-        /// Parsing-phase executions (DSL text compiles only).
-        pub parsing: u64,
-        /// Analysis-phase executions (verify + DAG construction).
-        pub analysis: u64,
-        /// Scheduling-phase executions.
-        pub scheduling: u64,
-        /// Lowering-phase executions.
-        pub lowering: u64,
-        /// Sanitize-phase executions (static analysis over the artifact).
-        pub sanitize: u64,
-    }
-
-    impl PhaseCounts {
-        /// Sum over all phases.
-        pub fn total(&self) -> u64 {
-            self.parsing + self.analysis + self.scheduling + self.lowering + self.sanitize
-        }
-
-        /// Per-phase difference against an earlier snapshot. Saturates at
-        /// zero per phase: snapshots taken concurrently with other
-        /// compiling threads can be mutually out of order, and a
-        /// wrapped-around u64 would turn a harmless race into an absurd
-        /// count.
-        pub fn since(&self, earlier: &PhaseCounts) -> PhaseCounts {
-            PhaseCounts {
-                parsing: self.parsing.saturating_sub(earlier.parsing),
-                analysis: self.analysis.saturating_sub(earlier.analysis),
-                scheduling: self.scheduling.saturating_sub(earlier.scheduling),
-                lowering: self.lowering.saturating_sub(earlier.lowering),
-                sanitize: self.sanitize.saturating_sub(earlier.sanitize),
-            }
-        }
-    }
-
-    /// Read the current counters.
-    pub fn snapshot() -> PhaseCounts {
-        PhaseCounts {
-            parsing: PARSING.load(Ordering::Relaxed),
-            analysis: ANALYSIS.load(Ordering::Relaxed),
-            scheduling: SCHEDULING.load(Ordering::Relaxed),
-            lowering: LOWERING.load(Ordering::Relaxed),
-            sanitize: SANITIZE.load(Ordering::Relaxed),
-        }
-    }
-
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
 
 /// Scheduler selection for the compiler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -242,7 +173,6 @@ impl Compiler {
         let t0 = Instant::now();
         let program = parse(source).map_err(|e| SimError::new(e.to_string()))?;
         let spec = eval(&program).map_err(|e| SimError::new(e.to_string()))?;
-        phase_counters::bump(&phase_counters::PARSING);
         let parsing = t0.elapsed();
         let mut plan = self.compile_spec(&spec, topo)?;
         plan.timings.parsing = parsing;
@@ -252,51 +182,21 @@ impl Compiler {
     /// Compile a validated algorithm spec for `topo`.
     pub fn compile_spec(&self, spec: &AlgoSpec, topo: &Topology) -> SimResult<CompiledPlan> {
         let mut timings = PhaseTimings::default();
-
         let threads = self.threads.max(1);
 
         let t0 = Instant::now();
-        if self.verify && spec.n_ranks() <= 256 {
+        if self.verifies(spec) {
             verify_collective_with_threads(spec, threads)
                 .map_err(|e| SimError::new(e.to_string()))?;
         }
         let dag = DepDag::build_with_threads(spec, topo, threads)
             .map_err(|e| SimError::new(e.to_string()))?;
-        phase_counters::bump(&phase_counters::ANALYSIS);
         timings.analysis = t0.elapsed();
 
-        let t0 = Instant::now();
-        let schedule = match self.scheduler {
-            SchedulerChoice::Hpds => hpds_with_threads(&dag, threads),
-            SchedulerChoice::RoundRobin => round_robin_with_threads(&dag, threads),
-        };
-        schedule.validate(&dag).map_err(SimError::SchedulerBug)?;
-        phase_counters::bump(&phase_counters::SCHEDULING);
-        timings.scheduling = t0.elapsed();
-
-        let t0 = Instant::now();
-        let alloc = TbAllocation::state_based_with_threads(&dag, &schedule, threads);
-        alloc
-            .validate(&dag, &schedule)
-            .map_err(SimError::AllocationBug)?;
-        let program = KernelProgram::generate_with_threads(
-            spec.name(),
-            &dag,
-            &alloc,
-            LoopOrder::SlotMajor,
-            ExecMode::DirectKernel,
-            threads,
-        );
-        program.validate(&dag).map_err(SimError::LoweringBug)?;
-        phase_counters::bump(&phase_counters::LOWERING);
-        timings.lowering = t0.elapsed();
-
-        // A skipped sanitize phase records zero time (`PhaseTimings`).
-        let diagnostics = if self.lint_gate == LintGate::Off {
-            AnalysisReport::default()
-        } else {
-            let t0 = Instant::now();
-            let report = analyze(
+        let (schedule, alloc, program) =
+            self.schedule_and_lower(spec.name(), &dag, &mut timings)?;
+        let diagnostics = self.sanitize("plan", &mut timings, || {
+            analyze(
                 &AnalysisInput {
                     spec,
                     dag: &dag,
@@ -306,23 +206,12 @@ impl Compiler {
                     topo,
                 },
                 &self.lint_config,
-            );
-            phase_counters::bump(&phase_counters::SANITIZE);
-            if self.lint_gate == LintGate::Deny && report.has_errors() {
-                return Err(SimError::new(format!(
-                    "sanitize: plan rejected by lint gate\n{}",
-                    report.render_human()
-                )));
-            }
-            timings.sanitize = t0.elapsed();
-            report
-        };
+            )
+        })?;
 
         Ok(CompiledPlan {
             topo: topo.clone(),
             spec: spec.clone(),
-            op: spec.op(),
-            n_chunks: spec.n_chunks(),
             dag,
             schedule,
             alloc,
@@ -369,16 +258,16 @@ impl Compiler {
     /// and RA007 (whose α–β–γ certificate depends on per-route
     /// parameters) — re-run.
     ///
-    /// Phase counters reflect what actually ran: `scheduling`/`lowering`
-    /// bump only on the slow path, `sanitize` on every non-identity call
-    /// with the gate on, and `parsing`/`analysis` never (verification and
-    /// DAG construction are not repeated).
+    /// The plan's [`PhaseTimings`] reflect what actually ran: all zero on
+    /// the identity path; `scheduling` the revalidation of the cached
+    /// schedule plus, on the slow path only, the reschedule; `lowering`
+    /// only on the slow path; `sanitize` on every non-identity call with
+    /// the gate on; `parsing` never.
     pub fn recompile_delta(
         &self,
         cached: &CompiledPlan,
         health: &TopologyHealth,
     ) -> SimResult<CompiledPlan> {
-        let threads = self.threads.max(1);
         let mut timings = PhaseTimings::default();
 
         if cached.topo.health() == health {
@@ -405,49 +294,22 @@ impl Compiler {
         } else {
             cached.schedule.revalidate_dirty(&dag, &dirty).ok()
         };
+        timings.scheduling = t0.elapsed();
         let (schedule, alloc, program) = if keep.is_some() {
             // Lowering is route-independent: `lower_rank` and the TB
             // allocator read only task endpoints, chunks, and schedule
             // positions, all unchanged — the cached artifacts stay valid.
-            timings.scheduling = t0.elapsed();
             (
                 cached.schedule.clone(),
                 cached.alloc.clone(),
                 cached.program.clone(),
             )
         } else {
-            let schedule = match self.scheduler {
-                SchedulerChoice::Hpds => hpds_with_threads(&dag, threads),
-                SchedulerChoice::RoundRobin => round_robin_with_threads(&dag, threads),
-            };
-            schedule.validate(&dag).map_err(SimError::SchedulerBug)?;
-            phase_counters::bump(&phase_counters::SCHEDULING);
-            timings.scheduling = t0.elapsed();
-
-            let t0 = Instant::now();
-            let alloc = TbAllocation::state_based_with_threads(&dag, &schedule, threads);
-            alloc
-                .validate(&dag, &schedule)
-                .map_err(SimError::AllocationBug)?;
-            let program = KernelProgram::generate_with_threads(
-                cached.spec.name(),
-                &dag,
-                &alloc,
-                LoopOrder::SlotMajor,
-                ExecMode::DirectKernel,
-                threads,
-            );
-            program.validate(&dag).map_err(SimError::LoweringBug)?;
-            phase_counters::bump(&phase_counters::LOWERING);
-            timings.lowering = t0.elapsed();
-            (schedule, alloc, program)
+            self.schedule_and_lower(cached.spec.name(), &dag, &mut timings)?
         };
 
-        let diagnostics = if self.lint_gate == LintGate::Off {
-            AnalysisReport::default()
-        } else {
-            let t0 = Instant::now();
-            let analysis_input = AnalysisInput {
+        let diagnostics = self.sanitize("plan", &mut timings, || {
+            let input = AnalysisInput {
                 spec: &cached.spec,
                 dag: &dag,
                 schedule: &schedule,
@@ -455,36 +317,21 @@ impl Compiler {
                 program: &program,
                 topo: &degraded,
             };
-            let report = if let Some(dirty_sps) = &keep {
+            match &keep {
                 // Spliced plan: structure identical to the cached one, only
                 // routes differ — the routing-sensitive lints re-run (RA003
                 // scoped to the dirty sub-pipelines), the rest splice their
                 // cached verdicts.
-                analyze_rerouted(
-                    &analysis_input,
-                    &self.lint_config,
-                    &cached.diagnostics,
-                    dirty_sps,
-                )
-            } else {
-                analyze(&analysis_input, &self.lint_config)
-            };
-            phase_counters::bump(&phase_counters::SANITIZE);
-            if self.lint_gate == LintGate::Deny && report.has_errors() {
-                return Err(SimError::new(format!(
-                    "sanitize: plan rejected by lint gate\n{}",
-                    report.render_human()
-                )));
+                Some(dirty_sps) => {
+                    analyze_rerouted(&input, &self.lint_config, &cached.diagnostics, dirty_sps)
+                }
+                None => analyze(&input, &self.lint_config),
             }
-            timings.sanitize = t0.elapsed();
-            report
-        };
+        })?;
 
         Ok(CompiledPlan {
             topo: degraded,
             spec: cached.spec.clone(),
-            op: cached.op,
-            n_chunks: cached.n_chunks,
             dag,
             schedule,
             alloc,
@@ -493,6 +340,75 @@ impl Compiler {
             diagnostics,
         })
     }
+
+    /// Whether the analysis phase statically verifies `spec`: when
+    /// [`Compiler::verify`] is set and the group has at most 256 ranks.
+    fn verifies(&self, spec: &AlgoSpec) -> bool {
+        self.verify && spec.n_ranks() <= 256
+    }
+
+    /// The scheduling and lowering phases over `dag`: schedule, allocate
+    /// TBs and generate the kernel program, validating each artifact.
+    /// Scheduling time is added to `timings.scheduling` (a delta
+    /// recompile has already charged its failed revalidation there).
+    fn schedule_and_lower(
+        &self,
+        name: &str,
+        dag: &DepDag,
+        timings: &mut PhaseTimings,
+    ) -> SimResult<(Schedule, TbAllocation, KernelProgram)> {
+        let threads = self.threads.max(1);
+
+        let t0 = Instant::now();
+        let schedule = match self.scheduler {
+            SchedulerChoice::Hpds => hpds_with_threads(dag, threads),
+            SchedulerChoice::RoundRobin => round_robin_with_threads(dag, threads),
+        };
+        schedule.validate(dag).map_err(SimError::SchedulerBug)?;
+        timings.scheduling += t0.elapsed();
+
+        let t0 = Instant::now();
+        let alloc = TbAllocation::state_based_with_threads(dag, &schedule, threads);
+        alloc
+            .validate(dag, &schedule)
+            .map_err(SimError::AllocationBug)?;
+        let program = KernelProgram::generate_with_threads(
+            name,
+            dag,
+            &alloc,
+            LoopOrder::SlotMajor,
+            ExecMode::DirectKernel,
+            threads,
+        );
+        program.validate(dag).map_err(SimError::LoweringBug)?;
+        timings.lowering = t0.elapsed();
+        Ok((schedule, alloc, program))
+    }
+
+    /// The sanitize phase: run `lints` over the finished artifact stack
+    /// unless the gate is [`LintGate::Off`] (then the report is empty and
+    /// the phase records zero time). Under [`LintGate::Deny`], a report
+    /// with errors rejects the `what` being compiled.
+    fn sanitize(
+        &self,
+        what: &str,
+        timings: &mut PhaseTimings,
+        lints: impl FnOnce() -> AnalysisReport,
+    ) -> SimResult<AnalysisReport> {
+        if self.lint_gate == LintGate::Off {
+            return Ok(AnalysisReport::default());
+        }
+        let t0 = Instant::now();
+        let report = lints();
+        if self.lint_gate == LintGate::Deny && report.has_errors() {
+            return Err(SimError::new(format!(
+                "sanitize: {what} rejected by lint gate\n{}",
+                report.render_human()
+            )));
+        }
+        timings.sanitize = t0.elapsed();
+        Ok(report)
+    }
 }
 
 /// A fully-compiled, executable collective plan.
@@ -500,14 +416,10 @@ impl Compiler {
 pub struct CompiledPlan {
     /// The topology the plan was compiled for.
     pub topo: Topology,
-    /// The validated algorithm the plan implements. Kept so incremental
-    /// recompiles ([`Compiler::recompile_delta`]) can re-run the sanitize
-    /// phase without the caller having to retain the spec separately.
+    /// The validated algorithm the plan implements: its operator and
+    /// chunking drive every run, and incremental recompiles
+    /// ([`Compiler::recompile_delta`]) re-run the sanitize phase over it.
     pub spec: AlgoSpec,
-    /// The collective operator implemented.
-    pub op: OpType,
-    /// Chunks per rank.
-    pub n_chunks: u32,
     /// The dependency DAG.
     pub dag: DepDag,
     /// The HPDS/RR task pipeline.
@@ -538,8 +450,15 @@ impl CompiledPlan {
         chunk_bytes: u64,
         config: &SimConfig,
     ) -> SimResult<SimReport> {
-        let plan = MicroBatchPlan::plan(buffer_bytes, self.n_chunks, chunk_bytes);
-        simulate(&self.topo, &self.dag, &self.program, &plan, self.op, config)
+        let plan = MicroBatchPlan::plan(buffer_bytes, self.spec.n_chunks(), chunk_bytes);
+        simulate(
+            &self.topo,
+            &self.dag,
+            &self.program,
+            &plan,
+            self.spec.op(),
+            config,
+        )
     }
 
     /// Emit the generated pseudo-CUDA kernels for all ranks.
@@ -555,7 +474,7 @@ impl CompiledPlan {
     /// model or engine bug. `None` when the lint gate was off (the
     /// sanitize phase never ran, so nothing was certified).
     pub fn makespan_floor_ns(&self, buffer_bytes: u64, chunk_bytes: u64) -> Option<f64> {
-        let mb = MicroBatchPlan::plan(buffer_bytes, self.n_chunks, chunk_bytes);
+        let mb = MicroBatchPlan::plan(buffer_bytes, self.spec.n_chunks(), chunk_bytes);
         self.diagnostics
             .certificate()
             .map(|c| c.lower_bound_ns(mb.chunk_total_bytes()))
@@ -572,8 +491,8 @@ impl CompiledPlan {
     /// ignored — they are measurement metadata, not part of the artifact.
     /// Used to assert that parallel compilation is bit-identical to serial.
     pub fn semantic_eq(&self, other: &Self) -> bool {
-        self.op == other.op
-            && self.n_chunks == other.n_chunks
+        self.spec.op() == other.spec.op()
+            && self.spec.n_chunks() == other.spec.n_chunks()
             && self.topo.name() == other.topo.name()
             && self.topo.spec() == other.topo.spec()
             && self.dag == other.dag
@@ -661,9 +580,8 @@ mod tests {
 
     #[test]
     fn sanitize_phase_runs_and_is_clean_on_seed_algorithms() {
-        // Evidence carried by this plan alone (the process-global phase
-        // counters are bumped by concurrently running sibling tests): only
-        // the sanitize phase certifies a makespan floor.
+        // Evidence carried by this plan alone: only the sanitize phase
+        // certifies a makespan floor.
         let topo = Topology::a100(2, 4);
         let plan = Compiler::new()
             .compile_spec(&hm_allreduce(2, 4), &topo)
@@ -705,71 +623,66 @@ mod tests {
     }
 
     #[test]
-    fn lint_gate_off_skips_sanitize() {
-        let topo = Topology::a100(2, 4);
-        let plan = Compiler::new()
-            .with_lint_gate(LintGate::Off)
-            .compile_spec(&hm_allreduce(2, 4), &topo)
-            .unwrap();
-        assert!(plan.diagnostics.is_clean());
-        // No certificate and no time: the phase never ran on this compile.
-        assert!(plan.makespan_floor_ns(16 << 20, 1 << 20).is_none());
-        assert_eq!(plan.timings.sanitize, Duration::ZERO);
-    }
-
-    #[test]
-    fn lint_gate_denies_plan_routed_over_dead_resource() {
-        use rescc_topology::{NicId, TopologyHealth};
-        // Mask a NIC direction on a single-NIC topology: the router has no
-        // healthy alternative and falls back to the dead resource, which
-        // RA005 must catch and the deny gate must refuse.
-        let healthy = Topology::a100(2, 2);
-        let nic = healthy.nic_tx(NicId::new(0));
-        let mut mask = TopologyHealth::healthy();
-        mask.mask(nic);
-        let degraded = Topology::a100(2, 2).with_health(mask);
-        let spec = hm_allreduce(2, 2);
-        match Compiler::new().compile_spec(&spec, &degraded) {
-            Err(e) => assert!(e.to_string().contains("RA005"), "{e}"),
-            // If the router found a healthy reroute the plan is sound and
-            // the gate rightly lets it through.
-            Ok(plan) => assert!(plan.diagnostics.is_clean()),
+    fn lint_gate_applies_on_every_entry_point() {
+        use rescc_sim::FaultFrontier;
+        use rescc_topology::{NicId, Rank, TopologyHealth};
+        // One dead pair channel: on one 8-GPU node the relay fits under the
+        // NVLink saturation (splice), on 2x4 it oversubscribes (reschedule).
+        let off = Compiler::new().with_lint_gate(LintGate::Off);
+        let compile_masked = |nodes, gpus| {
+            let topo = Topology::a100(nodes, gpus);
+            let plan = off.compile_spec(&hm_allreduce(nodes, gpus), &topo).unwrap();
+            let mut health = TopologyHealth::healthy();
+            health.mask(topo.pair_chan(Rank::new(0), Rank::new(1)));
+            let delta = off.recompile_delta(&plan, &health).unwrap();
+            (plan, delta)
+        };
+        let (_, splice) = compile_masked(1, 8);
+        let (full, reschedule) = compile_masked(2, 4);
+        let frontier = FaultFrontier::new(full.dag.len() as u32, 2, 0);
+        let residual = off.residual_plan(&full, &frontier).unwrap().plan;
+        assert_eq!(splice.timings.lowering, Duration::ZERO, "splice path");
+        assert!(reschedule.timings.lowering > Duration::ZERO, "slow path");
+        for (entry, plan) in [
+            ("compile_spec", &full),
+            ("recompile_delta splice", &splice),
+            ("recompile_delta reschedule", &reschedule),
+            ("residual_plan", &residual),
+        ] {
+            assert!(plan.diagnostics.is_clean(), "{entry}");
+            assert_eq!(plan.timings.sanitize, Duration::ZERO, "{entry}");
+            assert!(
+                plan.makespan_floor_ns(16 << 20, 1 << 20).is_none(),
+                "{entry}"
+            );
         }
-        // Warn gate always yields a plan, carrying whatever was found.
-        let plan = Compiler::new()
-            .with_lint_gate(LintGate::Warn)
-            .compile_spec(&spec, &degraded)
-            .unwrap();
-        let _ = plan.diagnostics.render_human();
-    }
 
-    #[test]
-    fn phase_counts_since_saturates_instead_of_wrapping() {
-        use phase_counters::PhaseCounts;
-        // A snapshot raced from another compiling thread can be "newer"
-        // than the nominally later one; the difference must clamp to zero,
-        // not wrap to u64::MAX.
-        let earlier = PhaseCounts {
-            parsing: 5,
-            analysis: 2,
-            scheduling: 0,
-            lowering: 7,
-            sanitize: 1,
-        };
-        let later = PhaseCounts {
-            parsing: 4,
-            analysis: 3,
-            scheduling: 0,
-            lowering: 7,
-            sanitize: 2,
-        };
-        let d = later.since(&earlier);
-        assert_eq!(d.parsing, 0);
-        assert_eq!(d.analysis, 1);
-        assert_eq!(d.scheduling, 0);
-        assert_eq!(d.lowering, 0);
-        assert_eq!(d.sanitize, 1);
-        assert_eq!(d.total(), 2);
+        // A dead NIC with no sibling leaves only the dead route (RA005):
+        // deny refuses a full compile and a delta recompile with the same
+        // text, warn lets the plan through carrying the finding.
+        let topo = Topology::a100(2, 2);
+        let mut health = TopologyHealth::healthy();
+        health.mask(topo.nic_tx(NicId::new(0)));
+        let degraded = topo.clone().with_health(health.clone());
+        let (spec, deny) = (hm_allreduce(2, 2), Compiler::new());
+        let healthy = deny.compile_spec(&spec, &topo).unwrap();
+        for err in [
+            deny.compile_spec(&spec, &degraded).unwrap_err(),
+            deny.recompile_delta(&healthy, &health).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, SimError::InvalidProgram(msg)
+                    if msg.starts_with("sanitize: plan rejected by lint gate\n")
+                        && msg.contains("RA005")),
+                "{err}"
+            );
+        }
+        let warn = Compiler::new().with_lint_gate(LintGate::Warn);
+        assert!(warn
+            .compile_spec(&spec, &degraded)
+            .unwrap()
+            .diagnostics
+            .has_errors());
     }
 
     #[test]
@@ -779,8 +692,7 @@ mod tests {
         let plan = compiler.compile_spec(&hm_allreduce(2, 4), &topo).unwrap();
         let delta = compiler.recompile_delta(&plan, plan.topo.health()).unwrap();
         assert!(delta.semantic_eq(&plan));
-        // Identity path: no phase re-ran, not even sanitize (this plan's
-        // own timings; the global phase counters race sibling tests).
+        // Identity path: no phase re-ran, not even sanitize.
         assert_eq!(delta.timings.total(), Duration::ZERO);
     }
 
@@ -796,9 +708,8 @@ mod tests {
         let mut health = TopologyHealth::healthy();
         health.mask(topo.pair_chan(Rank::new(0), Rank::new(1)));
         let delta = compiler.recompile_delta(&plan, &health).unwrap();
-        // This plan's own timings, not the global phase counters (which
-        // race sibling tests): the slow path always times lowering, and
-        // only a sanitize run records time.
+        // The slow path always times lowering, and only a sanitize run
+        // records time.
         assert_eq!(delta.schedule, plan.schedule, "schedule must be reused");
         assert_eq!(delta.program, plan.program, "lowering is route-independent");
         assert_eq!(
@@ -819,21 +730,6 @@ mod tests {
         // The spliced plan still runs and validates its data.
         let rep = delta.run(16 << 20, 1 << 20).unwrap();
         assert_eq!(rep.data_valid, Some(true));
-    }
-
-    #[test]
-    fn recompile_delta_denies_unroutable_fault() {
-        use rescc_topology::{NicId, TopologyHealth};
-        // Single NIC per node: masking its TX leaves no healthy route, the
-        // reroute falls back to the dead resource, and the spliced plan
-        // must be rejected by the same RA005 deny gate a full compile hits.
-        let topo = Topology::a100(2, 2);
-        let compiler = Compiler::new();
-        let plan = compiler.compile_spec(&hm_allreduce(2, 2), &topo).unwrap();
-        let mut health = TopologyHealth::healthy();
-        health.mask(topo.nic_tx(NicId::new(0)));
-        let err = compiler.recompile_delta(&plan, &health).unwrap_err();
-        assert!(err.to_string().contains("RA005"), "{err}");
     }
 
     #[test]

@@ -24,13 +24,10 @@
 //!    reaches the collective's postcondition in every micro-batch, i.e.
 //!    that resuming is byte-equivalent to a fault-free run.
 
-use crate::{phase_counters, CompiledPlan, Compiler, LintGate, PhaseTimings, SchedulerChoice};
-use rescc_alloc::TbAllocation;
-use rescc_analyze::{analyze_residual, AnalysisInput, AnalysisReport, ResidualContext};
+use crate::{CompiledPlan, Compiler, PhaseTimings};
+use rescc_analyze::{analyze_residual, AnalysisInput, ResidualContext};
 use rescc_ir::{DepDag, TaskId};
-use rescc_kernel::{ExecMode, KernelProgram, LoopOrder};
 use rescc_lang::CommType;
-use rescc_sched::{hpds_with_threads, round_robin_with_threads};
 use rescc_sim::{
     expected_final, initial_value, ChunkValue, FaultFrontier, ReplayOp, ResumeState, SimError,
     SimResult,
@@ -101,7 +98,6 @@ impl Compiler {
         cached: &CompiledPlan,
         frontier: &FaultFrontier,
     ) -> SimResult<ResidualPlan> {
-        let threads = self.threads.max(1);
         let mut timings = PhaseTimings::default();
         let n_tasks = cached.dag.len() as u32;
         if frontier.n_tasks != n_tasks {
@@ -117,7 +113,6 @@ impl Compiler {
             .dag
             .residual(&keep, &cached.topo)
             .map_err(|e| SimError::new(e.to_string()))?;
-        phase_counters::bump(&phase_counters::ANALYSIS);
         timings.analysis = t0.elapsed();
 
         // Resume state: completed micro-batches of surviving tasks in the
@@ -152,38 +147,11 @@ impl Compiler {
             }
         }
 
-        let t0 = Instant::now();
-        let schedule = match self.scheduler {
-            SchedulerChoice::Hpds => hpds_with_threads(&dag, threads),
-            SchedulerChoice::RoundRobin => round_robin_with_threads(&dag, threads),
-        };
-        schedule.validate(&dag).map_err(SimError::SchedulerBug)?;
-        phase_counters::bump(&phase_counters::SCHEDULING);
-        timings.scheduling = t0.elapsed();
-
-        let t0 = Instant::now();
-        let alloc = TbAllocation::state_based_with_threads(&dag, &schedule, threads);
-        alloc
-            .validate(&dag, &schedule)
-            .map_err(SimError::AllocationBug)?;
-        let program = KernelProgram::generate_with_threads(
-            cached.spec.name(),
-            &dag,
-            &alloc,
-            LoopOrder::SlotMajor,
-            ExecMode::DirectKernel,
-            threads,
-        );
-        program.validate(&dag).map_err(SimError::LoweringBug)?;
-        phase_counters::bump(&phase_counters::LOWERING);
-        timings.lowering = t0.elapsed();
-
-        let diagnostics = if self.lint_gate == LintGate::Off {
-            AnalysisReport::default()
-        } else {
-            let t0 = Instant::now();
+        let (schedule, alloc, program) =
+            self.schedule_and_lower(cached.spec.name(), &dag, &mut timings)?;
+        let diagnostics = self.sanitize("residual plan", &mut timings, || {
             let completed: Vec<bool> = keep.iter().map(|&k| !k).collect();
-            let report = analyze_residual(
+            analyze_residual(
                 &AnalysisInput {
                     spec: &cached.spec,
                     dag: &dag,
@@ -198,27 +166,16 @@ impl Compiler {
                     orig_ids: &orig_ids,
                     completed: &completed,
                 },
-            );
-            phase_counters::bump(&phase_counters::SANITIZE);
-            if self.lint_gate == LintGate::Deny && report.has_errors() {
-                return Err(SimError::new(format!(
-                    "sanitize: residual plan rejected by lint gate\n{}",
-                    report.render_human()
-                )));
-            }
-            timings.sanitize = t0.elapsed();
-            report
-        };
+            )
+        })?;
 
-        if self.verify && cached.spec.n_ranks() <= 256 {
+        if self.verifies(&cached.spec) {
             verify_provenance(cached, &dag, &resume)?;
         }
 
         let plan = CompiledPlan {
             topo: cached.topo.clone(),
             spec: cached.spec.clone(),
-            op: cached.op,
-            n_chunks: cached.n_chunks,
             dag,
             schedule,
             alloc,
@@ -245,7 +202,7 @@ fn verify_provenance(
 ) -> SimResult<()> {
     let n_ranks = cached.spec.n_ranks();
     let n_chunks = cached.dag.n_chunks();
-    let op = cached.op;
+    let op = cached.spec.op();
     for mb in 0..resume.n_mb {
         let mut buf: Vec<ChunkValue> = (0..n_ranks)
             .flat_map(|r| (0..n_chunks).map(move |c| initial_value(op, n_ranks, r, c)))
@@ -329,7 +286,7 @@ mod tests {
         let plan = compiler.compile_spec(&hm_allreduce(2, 4), &topo).unwrap();
         let buffer: u64 = 16 << 20;
         let chunk: u64 = 1 << 20;
-        let n_mb = (buffer / (plan.n_chunks as u64 * chunk)).max(1) as u32;
+        let n_mb = (buffer / (plan.spec.n_chunks() as u64 * chunk)).max(1) as u32;
         let frontier = frontier_at(&plan, n_mb, 0.5);
         assert!(frontier.fraction_complete() > 0.3);
 
